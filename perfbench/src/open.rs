@@ -32,6 +32,11 @@ pub const CLIENT_THREADS: usize = 2;
 /// Settle workers of the listening server: one, the service default, so
 /// a tick leaves the other core to the connection threads.
 pub const SETTLE_WORKERS: usize = 1;
+/// Length of one measurement window: at `RATE`, 1 200 verdicts, enough
+/// for each window's own p99 to have ten samples beyond it, so the tail
+/// percentiles are medians over windows and one stalled window moves one
+/// value, not the run's tail.
+const WINDOW: Duration = Duration::from_secs(4);
 /// Pause between drain rounds.
 const DRAIN_POLL: Duration = Duration::from_millis(1);
 
@@ -184,7 +189,7 @@ pub fn run(ctx: &Ctx) -> Result<Outcome, String> {
         start: Instant::now() + Duration::from_millis(2),
         rate: RATE,
     };
-    let mut windows = Windows::new(Duration::from_secs(1));
+    let mut windows = Windows::new(WINDOW);
     let end = schedule.start + Duration::from_secs_f64(ctx.seconds);
     let open_stats = Mutex::new(OpenLoopStats::default());
     let done = AtomicBool::new(false);
