@@ -12,6 +12,13 @@
 //! mismatch. For the fleet workload the reference is the same batch
 //! re-run with the replay cache off; both must produce a byte-identical
 //! `FleetReport`.
+//!
+//! Both references run code the benchmark also measures (the mechanisms,
+//! the VM, the crypto), so a change there could move served output and
+//! reference alike. Every run therefore first pins its reference to data
+//! the code under test did not produce: the oracle must reproduce the
+//! service's committed golden stream, and the cache-off fleet the fleet
+//! engine's committed golden report.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -21,6 +28,7 @@ use rand::SeedableRng;
 use refstate_core::protocol::host_directory;
 use refstate_crypto::{DsaKeyPair, DsaParams};
 use refstate_fleet::scenario::{self, Preset};
+use refstate_fleet::{run_fleet, FleetConfig};
 use refstate_mechanisms::api::{
     JourneyCtx, JourneyVerdict, MechanismConfig, MechanismRegistry, ProtectionMechanism,
 };
@@ -192,6 +200,75 @@ pub fn reference_streams(
     streams
 }
 
+/// The service's committed golden stream: the lockstep soak's 4 owners ×
+/// 12 journeys at seed 42 on the `mixed` preset with `protocol`, grouped
+/// by owner.
+const GOLDEN_SOAK_STREAM: &str =
+    include_str!("../../crates/serve/tests/golden/soak_mixed_seed42.stream");
+
+/// The fleet engine's committed seed-42 `mixed` report.
+const GOLDEN_FLEET_REPORT: &str =
+    include_str!("../../crates/fleet/tests/fixtures/seed42_mixed_report.json");
+
+/// The oracle streams of the service's golden soak shape (see
+/// [`GOLDEN_SOAK_STREAM`]) for `preset` and `mechanism`, concatenated.
+pub fn golden_soak_reference(preset: Preset, mechanism: &str, threads: usize) -> String {
+    let config = refstate_serve::SoakConfig::default();
+    let owners: Vec<OwnerSpec> = (0..config.owners)
+        .map(|i| OwnerSpec {
+            name: refstate_serve::SoakConfig::owner_name(i),
+            seed: config.owner_seed(i),
+            preset,
+            mechanism: mechanism.into(),
+        })
+        .collect();
+    reference_streams(&owners, &vec![0..12; config.owners], threads).concat()
+}
+
+/// Pins the serve oracle: it must reproduce the committed golden stream.
+pub fn pin_oracle(threads: usize) -> Result<(), String> {
+    let oracle = golden_soak_reference(Preset::Mixed, "protocol", threads);
+    compare_pinned("serve oracle", &oracle, GOLDEN_SOAK_STREAM)
+}
+
+/// Pins the fleet reference: the seed-42 `mixed` fleet of the committed
+/// golden report, run with the replay cache off as the reference re-runs
+/// are, must reproduce that report.
+pub fn pin_fleet_reference(workers: usize) -> Result<(), String> {
+    let report = run_fleet(&FleetConfig {
+        scenarios: 120,
+        workers,
+        seed: 42,
+        preset: Preset::Mixed,
+        key_pool: 16,
+        replay_cache: false,
+        ..FleetConfig::default()
+    })
+    .report
+    .to_json();
+    compare_pinned(
+        "fleet reference",
+        &format!("{report}\n"),
+        GOLDEN_FLEET_REPORT,
+    )
+}
+
+fn compare_pinned(what: &str, got: &str, golden: &str) -> Result<(), String> {
+    if got == golden {
+        return Ok(());
+    }
+    let line = got
+        .lines()
+        .zip(golden.lines())
+        .position(|(g, w)| g != w)
+        .unwrap_or_else(|| got.lines().count().min(golden.lines().count()));
+    Err(format!(
+        "{what} digest {} != committed golden {} (first difference at line {line})",
+        digest(got),
+        digest(golden)
+    ))
+}
+
 /// Compares served per-owner streams with reference streams. On a
 /// mismatch, names the owner and the first differing line.
 pub fn compare_streams(
@@ -303,38 +380,25 @@ mod tests {
         );
     }
 
-    /// The oracle stream of the service's golden soak shape: 4 owners ×
-    /// 12 journeys at soak seed 42, grouped by owner.
-    fn golden_soak_reference(preset: Preset, mechanism: &str) -> String {
-        let config = refstate_serve::SoakConfig::default();
-        let owners: Vec<OwnerSpec> = (0..config.owners)
-            .map(|i| OwnerSpec {
-                name: refstate_serve::SoakConfig::owner_name(i),
-                seed: config.owner_seed(i),
-                preset,
-                mechanism: mechanism.into(),
-            })
-            .collect();
-        reference_streams(&owners, &vec![0..12; config.owners], 2).concat()
-    }
-
-    fn golden(name: &str) -> String {
-        let path = format!(
-            "{}/../crates/serve/tests/golden/{name}",
-            env!("CARGO_MANIFEST_DIR")
+    #[test]
+    fn oracle_matches_the_services_golden_streams() {
+        pin_oracle(2).expect("mixed golden");
+        assert_eq!(
+            golden_soak_reference(Preset::Cooperating, "cooperating", 2),
+            include_str!("../../crates/serve/tests/golden/soak_cooperating_seed42.stream")
         );
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
     }
 
     #[test]
-    fn oracle_matches_the_services_golden_streams() {
-        assert_eq!(
-            golden_soak_reference(Preset::Mixed, "protocol"),
-            golden("soak_mixed_seed42.stream")
-        );
-        assert_eq!(
-            golden_soak_reference(Preset::Cooperating, "cooperating"),
-            golden("soak_cooperating_seed42.stream")
-        );
+    fn cache_off_fleet_matches_the_golden_report() {
+        pin_fleet_reference(2).expect("mixed golden report");
+    }
+
+    #[test]
+    fn a_pinned_reference_that_drifts_is_refused() {
+        let mut drifted = GOLDEN_SOAK_STREAM.to_owned();
+        corrupt(&mut drifted);
+        let error = compare_pinned("serve oracle", &drifted, GOLDEN_SOAK_STREAM).unwrap_err();
+        assert!(error.contains("first difference at line 0"), "{error}");
     }
 }

@@ -365,12 +365,8 @@ fn child_mode(
     };
     let dir = args.get("dir").map(PathBuf::from);
     let result = if args.contains_key("prep-history") {
-        let journeys = args
-            .get("journeys")
-            .and_then(|j| j.parse().ok())
-            .unwrap_or(serve::WARM_JOURNEYS);
         match &dir {
-            Some(dir) => serve::prepare_history(seed, nproc, dir, journeys),
+            Some(dir) => serve::prepare_history(seed, nproc, dir),
             None => Err("--prep-history needs --dir".into()),
         }
     } else {
@@ -442,6 +438,12 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     }
+    // Pin the references to committed golden data before anything is
+    // measured against them.
+    if let Err(e) = gate::pin_oracle(nproc).and_then(|()| gate::pin_fleet_reference(nproc)) {
+        eprintln!("perfbench: {workload} seed {seed}: correctness gate failed: {e}");
+        return ExitCode::FAILURE;
+    }
     let root = std::env::var_os("CARGO_MANIFEST_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")));
@@ -465,6 +467,7 @@ fn main() -> ExitCode {
         "perfbench: workload={workload} seed={seed} seconds={seconds} trace={}",
         u8::from(traced)
     );
+    println!("pinned: the serve oracle and the fleet reference match their committed golden data");
     let probe_start = host::probe_ms();
     let result = if traced {
         traced_run(workload, &ctx, &root.join("out")).map(|(o, l)| (o, Some(l)))
@@ -513,22 +516,12 @@ fn main() -> ExitCode {
 
     let n = outcome.verdicts;
     let samples = outcome.latencies_ms.len();
-    let windowed = outcome
-        .windows
-        .iter()
-        .all(|w| w.samples.len() >= stats::MIN_WINDOW_SAMPLES);
-    let latency_note = if windowed {
-        format!(
-            "n={samples} {} latencies, nearest rank per window, median of {} windows",
-            outcome.latency_unit,
-            outcome.windows.len()
-        )
-    } else {
-        format!(
-            "n={samples} {} latencies, nearest rank",
-            outcome.latency_unit
-        )
-    };
+    let groups = stats::latency_groups(&outcome.windows).len();
+    let latency_note = format!(
+        "n={samples} {} latencies, nearest rank per group of >= {} samples, median of {groups} groups",
+        outcome.latency_unit,
+        stats::MIN_WINDOW_SAMPLES
+    );
     let metrics: Vec<(&str, f64, &str, String)> = match &layers {
         None => vec![
             (
@@ -558,8 +551,14 @@ fn main() -> ExitCode {
                 median(&outcome.setup_s).unwrap_or(0.0),
                 "s",
                 format!(
-                    "n={} set-ups in fresh processes, median",
-                    outcome.setup_s.len()
+                    "n={} set-ups in fresh processes, median; in order: [{}]",
+                    outcome.setup_s.len(),
+                    outcome
+                        .setup_s
+                        .iter()
+                        .map(|s| format!("{s:.4}"))
+                        .collect::<Vec<_>>()
+                        .join(" ")
                 ),
             ),
             (

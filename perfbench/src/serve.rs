@@ -25,7 +25,7 @@ use crate::gate::{self, OwnerSpec};
 use crate::host;
 use crate::layers::{self, record, Layers, SpanRec};
 use crate::stats::{median_rate, ms, percentile, us, Window, Windows};
-use crate::{Ctx, Outcome, PROBES_BEFORE};
+use crate::{Ctx, Outcome};
 
 /// Tenants per run.
 pub const OWNERS: usize = 4;
@@ -46,6 +46,21 @@ pub const QUEUE_CAPACITY: usize = 64;
 pub const WARM_JOURNEYS: u64 = 16_000;
 /// Length of one measurement window of the timed leg.
 const WINDOW: Duration = Duration::from_secs(1);
+/// Segments an untraced timed leg is cut into. `setup_s` probes run
+/// before the first, between segments and after the last, so they sample
+/// the machine across the whole run instead of one moment of it.
+const SEGMENTS: usize = 4;
+/// Set-up probes at each of those `SEGMENTS + 1` points: a `serve-closed`
+/// set-up takes a few ms, so many are cheap and their median steadies the
+/// figure; a `serve-durable` one reopens the history and takes a few
+/// hundred.
+const fn probes_per_point(durable: bool) -> usize {
+    if durable {
+        2
+    } else {
+        8
+    }
+}
 /// The store's write and sync policy, as recorded with every result.
 pub const FLUSH_POLICY: &str = "one write per record; sync on segment rotation and at shutdown";
 
@@ -170,19 +185,14 @@ pub fn setup(
 }
 
 /// Writes the `serve-durable` history: an untimed lockstep soak of
-/// `journeys` into a fresh state dir, ended by a graceful shutdown.
-pub fn prepare_history(
-    seed: u64,
-    settle_workers: usize,
-    dir: &Path,
-    journeys: u64,
-) -> Result<(), String> {
+/// `WARM_JOURNEYS` into a fresh state dir, ended by a graceful shutdown.
+pub fn prepare_history(seed: u64, settle_workers: usize, dir: &Path) -> Result<(), String> {
     let _ = std::fs::remove_dir_all(dir);
     let mut service = Service::new(serve_config(seed, settle_workers, Some(dir)));
-    let outcome = run_soak(&mut service, &soak_config(seed, journeys));
-    if outcome.dropped != 0 || outcome.verified != journeys {
+    let outcome = run_soak(&mut service, &soak_config(seed, WARM_JOURNEYS));
+    if outcome.dropped != 0 || outcome.verified != WARM_JOURNEYS {
         return Err(format!(
-            "history leg verified {} of {journeys} journeys, dropped {}",
+            "history leg verified {} of {WARM_JOURNEYS} journeys, dropped {}",
             outcome.verified, outcome.dropped
         ));
     }
@@ -196,16 +206,17 @@ struct Stamp {
     accepted: Instant,
 }
 
-/// The latency split of one verdict, in µs: submit, ingress wait, tick,
-/// outbox wait, drain. Sums to the verdict's latency.
-type Split = [f64; 5];
+/// The waits of one verdict between the calls of the loop, in µs:
+/// ingress wait (accepted → `Tick` called) and outbox wait (`Tick`
+/// returned → `Drain` of its owner called).
+type Waits = [f64; 2];
 
 /// What the lockstep load produced.
 struct Lockstep {
     streams: Vec<String>,
     submitted: Vec<u64>,
     latencies_ms: Vec<f64>,
-    splits: Vec<(f64, Split)>,
+    waits: Vec<Waits>,
     attempted: u64,
     accepted: u64,
     verdicts: u64,
@@ -215,6 +226,38 @@ struct Lockstep {
     elapsed: Duration,
     windows: Vec<Window>,
     peak_rss_mb: f64,
+}
+
+impl Lockstep {
+    /// Joins consecutive legs of one load phase into one.
+    fn concat(legs: Vec<Lockstep>) -> Lockstep {
+        let mut legs = legs.into_iter();
+        let mut out = legs.next().expect("at least one leg");
+        for leg in legs {
+            let offset = out.latencies_ms.len();
+            for (mine, theirs) in out.streams.iter_mut().zip(&leg.streams) {
+                mine.push_str(theirs);
+            }
+            for (mine, theirs) in out.submitted.iter_mut().zip(&leg.submitted) {
+                *mine += theirs;
+            }
+            out.latencies_ms.extend(&leg.latencies_ms);
+            out.waits.extend(&leg.waits);
+            out.attempted += leg.attempted;
+            out.accepted += leg.accepted;
+            out.verdicts += leg.verdicts;
+            out.dropped += leg.dropped;
+            out.ticks += leg.ticks;
+            out.tick_total += leg.tick_total;
+            out.elapsed += leg.elapsed;
+            out.windows.extend(leg.windows.into_iter().map(|mut w| {
+                w.samples = w.samples.start + offset..w.samples.end + offset;
+                w
+            }));
+            out.peak_rss_mb = out.peak_rss_mb.max(leg.peak_rss_mb);
+        }
+        out
+    }
 }
 
 fn drain_owner(
@@ -269,7 +312,7 @@ fn run_lockstep(
         streams: vec![String::new(); owners.len()],
         submitted: vec![0; owners.len()],
         latencies_ms: Vec::new(),
-        splits: Vec::new(),
+        waits: Vec::new(),
         attempted: 0,
         accepted: 0,
         verdicts: 0,
@@ -303,16 +346,10 @@ fn run_lockstep(
                 let latency = drain_end - stamp.submit_start;
                 out.latencies_ms.push(ms(latency));
                 if let (true, Some((tick_start, tick_end))) = (traced, tick) {
-                    out.splits.push((
-                        ms(latency),
-                        [
-                            us(stamp.accepted - stamp.submit_start),
-                            us(tick_start.saturating_duration_since(stamp.accepted)),
-                            us(tick_end - tick_start),
-                            us(drain_start - tick_end),
-                            us(drain_end - drain_start),
-                        ],
-                    ));
+                    out.waits.push([
+                        us(tick_start.saturating_duration_since(stamp.accepted)),
+                        us(drain_start - tick_end),
+                    ]);
                 }
                 out.streams[i].push_str(&verdict.stream_line());
                 out.streams[i].push('\n');
@@ -417,27 +454,42 @@ fn stream_state(service: &Service) -> Result<Vec<StreamCheckpoint>, String> {
     }
 }
 
-/// The layer split at the median: mean of each component over the
-/// verdicts whose latency ranks within ±5% of the median. Returns the
-/// split (µs) and the band's mean latency (ms).
-fn median_band(splits: &[(f64, Split)]) -> (Split, f64) {
-    let mut sorted = splits.to_vec();
-    sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let n = sorted.len();
-    let lo = (n as f64 * 0.45) as usize;
-    let hi = ((n as f64 * 0.55).ceil() as usize).clamp(lo + 1, n.max(1));
-    let band = &sorted[lo.min(n.saturating_sub(1))..hi];
-    let mut split = [0.0; 5];
-    for (_, s) in band {
-        for (acc, v) in split.iter_mut().zip(s) {
-            *acc += v;
-        }
+/// Median duration, in µs, of the harness spans called `name`.
+fn span_p50_us(spans: &[SpanRec], name: &str) -> f64 {
+    let mut durations: Vec<f64> = spans
+        .iter()
+        .filter(|span| span.name == name)
+        .map(|span| us(span.dur))
+        .collect();
+    percentile(&mut durations, 0.5).unwrap_or(0.0)
+}
+
+/// The median verdict latency, in ms, that the loop's shape predicts
+/// from the median call times alone. A verdict waits for its own submit
+/// and the submits after it in its batch — `(TICK_EVERY + 1) / 2` on
+/// average — then one tick, then the drains of the owners up to its
+/// own, `(OWNERS + 1) / 2` on average. The harness's bookkeeping between
+/// calls is not in the prediction, so a prediction far from the measured
+/// median means the latency is not made of the calls the split names.
+fn predicted_p50_ms(submit_us: f64, tick_us: f64, drain_us: f64) -> f64 {
+    let submits = (TICK_EVERY + 1) as f64 / 2.0;
+    let drains = (OWNERS + 1) as f64 / 2.0;
+    (submit_us * submits + tick_us + drain_us * drains) / 1e3
+}
+
+/// Copies the flat directory `from` (a `LogStore`'s segment files) to
+/// `to`.
+fn copy_dir(from: &Path, to: &Path) -> Result<(), String> {
+    std::fs::create_dir_all(to).map_err(|e| format!("create {}: {e}", to.display()))?;
+    let entries = std::fs::read_dir(from).map_err(|e| format!("read {}: {e}", from.display()))?;
+    for entry in entries {
+        let path = entry
+            .map_err(|e| format!("read {}: {e}", from.display()))?
+            .path();
+        let target = to.join(path.file_name().expect("entry has a name"));
+        std::fs::copy(&path, &target).map_err(|e| format!("copy {}: {e}", path.display()))?;
     }
-    let count = band.len().max(1) as f64;
-    for v in &mut split {
-        *v /= count;
-    }
-    (split, band.iter().map(|b| b.0).sum::<f64>() / count)
+    Ok(())
 }
 
 /// Runs `serve-closed` (`durable = false`) or `serve-durable`.
@@ -452,26 +504,24 @@ pub fn run(ctx: &Ctx, durable: bool) -> Result<Outcome, String> {
     let history: Option<PathBuf> = durable.then(|| ctx.work.join("history"));
     let start_k = WARM_JOURNEYS;
     if let Some(dir) = &history {
-        ctx.child(&[
-            "--prep-history",
-            "--dir",
-            &dir.display().to_string(),
-            "--journeys",
-            &WARM_JOURNEYS.to_string(),
-        ])?;
+        ctx.child(&["--prep-history", "--dir", &dir.display().to_string()])?;
     }
-    let dir_arg: Vec<String> = history
+    // Durable probes reopen a copy of the history as written, since the
+    // timed leg extends the original while they run between its segments.
+    let probe_history = match &history {
+        Some(dir) if ctx.probes => {
+            let copy = ctx.work.join("probe-history");
+            copy_dir(dir, &copy)?;
+            Some(copy)
+        }
+        _ => None,
+    };
+    let dir_arg: Vec<String> = probe_history
         .iter()
         .flat_map(|d| ["--dir".to_owned(), d.display().to_string()])
         .collect();
-    // A durable probe reopens the history, so all of its probes run before
-    // the timed leg extends it; the others split theirs around the run.
-    let before = if durable {
-        crate::PROBES
-    } else {
-        PROBES_BEFORE
-    };
-    let mut setup_s = ctx.setup_probes(workload, &dir_arg, before)?;
+    let probes = probes_per_point(durable);
+    let mut setup_s = Vec::new();
 
     let mut layers = Layers::new();
     if let (true, Some(dir)) = (ctx.traced, &history) {
@@ -527,15 +577,25 @@ pub fn run(ctx: &Ctx, durable: bool) -> Result<Outcome, String> {
         telemetry::snapshot()
     });
     let mut spans = Vec::new();
-    let load = run_lockstep(
-        &service,
-        &owners,
-        timed_k,
-        Until::Seconds(timed_seconds),
-        true,
-        ctx.traced,
-        &mut spans,
-    )?;
+    // A traced run is one segment: its spans share one origin.
+    let segments = if ctx.probes { SEGMENTS } else { 1 };
+    let mut parts = Vec::with_capacity(segments);
+    let mut k = timed_k;
+    for segment in 0..segments {
+        setup_s.extend(ctx.setup_probes(workload, &dir_arg, probes)?);
+        let part = run_lockstep(
+            &service,
+            &owners,
+            k,
+            Until::Seconds(timed_seconds / segments as f64),
+            segment + 1 == segments,
+            ctx.traced,
+            &mut spans,
+        )?;
+        k += part.accepted;
+        parts.push(part);
+    }
+    let load = Lockstep::concat(parts);
     let delta = telemetry_before.map(|before| {
         let delta = telemetry::snapshot().delta_since(&before);
         telemetry::set_level(TelemetryLevel::Off);
@@ -594,32 +654,30 @@ pub fn run(ctx: &Ctx, durable: bool) -> Result<Outcome, String> {
         }
     }
 
-    setup_s.extend(ctx.setup_probes(workload, &dir_arg, crate::PROBES - before)?);
+    setup_s.extend(ctx.setup_probes(workload, &dir_arg, probes)?);
 
     if let Some(delta) = &delta {
         let verdicts = load.verdicts;
         let mut latencies = load.latencies_ms.clone();
         let p50 = percentile(&mut latencies, 0.5).unwrap_or(0.0);
-        let (split, _) = median_band(&load.splits);
-        let names = [
-            "serve.submit_us",
-            "serve.ingress_wait_ms",
-            "serve.tick_ms",
-            "serve.outbox_wait_us",
-            "serve.drain_us",
-        ];
-        for (name, value) in names.iter().zip(split) {
-            let value = if name.ends_with("_ms") {
-                value / 1e3
-            } else {
-                value
-            };
-            layers.insert(name, value);
-        }
-        let sum_ms = split.iter().sum::<f64>() / 1e3;
+        // The p50 split: each call kind timed on its own, and the waits
+        // between the calls per verdict.
+        let submit_us = span_p50_us(&spans, "submit");
+        let tick_us = span_p50_us(&spans, "tick");
+        let drain_us = span_p50_us(&spans, "drain");
+        let wait_p50_us = |i: usize| {
+            let mut waits: Vec<f64> = load.waits.iter().map(|w| w[i]).collect();
+            percentile(&mut waits, 0.5).unwrap_or(0.0)
+        };
+        layers.insert("serve.submit_us", submit_us);
+        layers.insert("serve.ingress_wait_ms", wait_p50_us(0) / 1e3);
+        layers.insert("serve.tick_ms", tick_us / 1e3);
+        layers.insert("serve.outbox_wait_us", wait_p50_us(1));
+        layers.insert("serve.drain_us", drain_us);
+        let predicted = predicted_p50_ms(submit_us, tick_us, drain_us);
         layers.insert(
             "trace.reconcile_err_frac",
-            (sum_ms - p50).abs() / p50.max(1e-9),
+            (predicted - p50).abs() / p50.max(1e-9),
         );
         layers.insert(
             "serve.tick_us_per_verdict",

@@ -202,26 +202,45 @@ impl Windows {
     }
 }
 
-/// Latency percentile `q` of a load phase. When every window holds at
-/// least `MIN_WINDOW_SAMPLES` samples (so a p99 has ten samples beyond
-/// it in each), it is the median over windows of each window's
-/// nearest-rank percentile — a stall that spoils one window then moves
-/// one value, not the whole tail. Otherwise it is the nearest-rank
-/// percentile of all samples.
+/// Latency percentile `q` of a load phase, as the median over groups of
+/// each group's nearest-rank percentile. A group is a run of consecutive
+/// windows holding at least `MIN_WINDOW_SAMPLES` samples (so its p99 has
+/// ten samples beyond it); a trailing run short of that joins the group
+/// before it. A stall that spoils one group then moves one value, not the
+/// whole tail, and the rule is the same however many samples the last
+/// window happens to hold. A phase with fewer samples than one group is a
+/// single group: the percentile of all samples.
 pub fn latency_percentile(latencies: &[f64], windows: &[Window], q: f64) -> f64 {
-    let windowed = !windows.is_empty()
-        && windows
-            .iter()
-            .all(|w| w.samples.len() >= MIN_WINDOW_SAMPLES);
-    if windowed {
-        let per_window: Vec<f64> = windows
-            .iter()
-            .filter_map(|w| percentile(&mut latencies[w.samples.clone()].to_vec(), q))
-            .collect();
-        median(&per_window).unwrap_or(0.0)
-    } else {
-        percentile(&mut latencies.to_vec(), q).unwrap_or(0.0)
+    let per_group: Vec<f64> = latency_groups(windows)
+        .into_iter()
+        .filter_map(|group| percentile(&mut latencies[group].to_vec(), q))
+        .collect();
+    median(&per_group).unwrap_or(0.0)
+}
+
+/// The sample ranges of the groups `latency_percentile` takes its
+/// percentiles over.
+pub fn latency_groups(windows: &[Window]) -> Vec<std::ops::Range<usize>> {
+    let mut groups: Vec<std::ops::Range<usize>> = Vec::new();
+    let mut open: Option<std::ops::Range<usize>> = None;
+    for window in windows {
+        let group = match open.take() {
+            Some(group) => group.start..window.samples.end,
+            None => window.samples.clone(),
+        };
+        if group.len() >= MIN_WINDOW_SAMPLES {
+            groups.push(group);
+        } else {
+            open = Some(group);
+        }
     }
+    if let Some(rest) = open {
+        match groups.last_mut() {
+            Some(last) => last.end = rest.end,
+            None => groups.push(rest),
+        }
+    }
+    groups
 }
 
 /// Samples a window needs before its own p99 counts (ten beyond it).
@@ -268,6 +287,58 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), Some(2.0));
         assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), Some(2.5));
         assert_eq!(median(&[]), None);
+    }
+
+    fn windows_of(sizes: &[usize]) -> Vec<Window> {
+        let mut start = 0;
+        sizes
+            .iter()
+            .map(|&n| {
+                let window = Window {
+                    samples: start..start + n,
+                    ..Window::default()
+                };
+                start += n;
+                window
+            })
+            .collect()
+    }
+
+    #[test]
+    fn latency_groups_fold_small_windows_into_their_neighbours() {
+        let groups = |sizes: &[usize]| latency_groups(&windows_of(sizes));
+        // Full windows are groups of their own.
+        assert_eq!(groups(&[1_000, 1_200]), vec![0..1_000, 1_000..2_200]);
+        // Small windows gather until they reach a group's worth.
+        assert_eq!(groups(&[600, 600, 1_000]), vec![0..1_200, 1_200..2_200]);
+        // A short last window joins the group before it, whatever its size.
+        assert_eq!(groups(&[1_000, 1_000, 999]), vec![0..1_000, 1_000..2_999]);
+        assert_eq!(groups(&[1_000, 1_000, 1]), vec![0..1_000, 1_000..2_001]);
+        // Fewer samples than one group: all of them.
+        assert_eq!(groups(&[300, 200]), vec![0..500]);
+        assert!(groups(&[]).is_empty());
+    }
+
+    #[test]
+    fn the_rule_does_not_switch_with_the_last_window() {
+        // Four full windows whose p99s are 10, 20, 30 and 40, then a
+        // leftover window of fast samples just short of or just at a
+        // group's worth. Either way the result is a median over groups
+        // (a pooled p99 of every sample would read 40).
+        let mut latencies = Vec::new();
+        for level in [10.0, 20.0, 30.0, 40.0] {
+            latencies.extend(std::iter::repeat_n(level, 1_000));
+        }
+        let p99_with = |leftover: usize| {
+            let mut samples = latencies.clone();
+            samples.extend(std::iter::repeat_n(1.0, leftover));
+            let windows = windows_of(&[1_000, 1_000, 1_000, 1_000, leftover]);
+            latency_percentile(&samples, &windows, 0.99)
+        };
+        // 999: the leftover joins the 40s, whose group p99 stays 40.
+        assert_eq!(p99_with(999), 25.0);
+        // 1 000: a fifth group of its own with p99 1.
+        assert_eq!(p99_with(1_000), 20.0);
     }
 
     #[test]
